@@ -23,9 +23,7 @@ use iwb_harmony::{Confidence, HarmonyEngine, MatchConfig, MatchResult};
 use iwb_loaders::export::to_er_text;
 use iwb_registry::perturb::PerturbConfig;
 use iwb_registry::SchemaPair;
-use iwb_server::{
-    FaultPlan, JournalConfig, RecoveryReport, ServerStats, SessionRegistry, StoreConfig,
-};
+use iwb_server::{FaultPlan, RecoveryReport, ServerStats, SessionRegistry, StoreConfig};
 use iwb_store::{CommandRecord, SessionStore};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -117,21 +115,22 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Drive the command sequence through a session registry, persisting
-/// journals under `dir` (and snapshots too when `store` is set).
-fn populate(dir: &Path, store: bool, commands: &[CommandRecord]) {
-    let stats = ServerStats::new();
-    let mut reg = SessionRegistry::new(4, Duration::from_secs(3600)).with_journal(JournalConfig {
+/// A registry on the store under `dir` that snapshots only when told
+/// to ([`SessionRegistry::flush_snapshots`]).
+fn registry(dir: &Path) -> SessionRegistry {
+    SessionRegistry::new(4, Duration::from_secs(3600)).with_store(StoreConfig {
+        dir: dir.to_path_buf(),
         fsync: false,
-        ..JournalConfig::new(dir)
-    });
-    if store {
-        reg = reg.with_store(StoreConfig {
-            dir: dir.to_path_buf(),
-            fsync: false,
-            snapshot_every: 0, // one snapshot, flushed below
-        });
-    }
+        snapshot_every: 0,
+    })
+}
+
+/// Drive the command sequence through a session registry, journaling
+/// under `dir`; with `snapshot` set, one snapshot is flushed at the end
+/// (without it the store holds the journal alone: the cold baseline).
+fn populate(dir: &Path, snapshot: bool, commands: &[CommandRecord]) {
+    let stats = ServerStats::new();
+    let reg = registry(dir);
     let session = reg.create(Some("bench")).expect("create session");
     let none = FaultPlan::none();
     for record in commands {
@@ -150,25 +149,15 @@ fn populate(dir: &Path, store: bool, commands: &[CommandRecord]) {
         );
     }
     drop(session);
-    if store {
+    if snapshot {
         assert_eq!(reg.flush_snapshots(), 1, "snapshot flushed");
     }
 }
 
 /// Time one recovery of the files under `dir`, returning the report.
-fn recover_once(dir: &Path, store: bool) -> (f64, RecoveryReport) {
+fn recover_once(dir: &Path) -> (f64, RecoveryReport) {
     let stats = ServerStats::new();
-    let mut reg = SessionRegistry::new(4, Duration::from_secs(3600)).with_journal(JournalConfig {
-        fsync: false,
-        ..JournalConfig::new(dir)
-    });
-    if store {
-        reg = reg.with_store(StoreConfig {
-            dir: dir.to_path_buf(),
-            fsync: false,
-            snapshot_every: 0,
-        });
-    }
+    let reg = registry(dir);
     let t = Instant::now();
     let report = reg.recover(&stats).expect("recover");
     (t.elapsed().as_secs_f64() * 1000.0, report)
@@ -249,11 +238,11 @@ fn main() {
     let (mut warm_ms, mut cold_ms) = (f64::INFINITY, f64::INFINITY);
     let mut warm_sessions = 0;
     for _ in 0..args.repeats {
-        let (ms, report) = recover_once(&warm_dir, true);
+        let (ms, report) = recover_once(&warm_dir);
         warm_ms = warm_ms.min(ms);
         warm_sessions = report.warm;
         assert_eq!(report.replay_errors, 0, "{report:?}");
-        let (ms, report) = recover_once(&cold_dir, false);
+        let (ms, report) = recover_once(&cold_dir);
         cold_ms = cold_ms.min(ms);
         assert_eq!(
             (report.sessions, report.replay_errors),

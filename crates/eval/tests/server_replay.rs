@@ -1,7 +1,8 @@
 //! Curation replay against a live `workbenchd`: the identical oracle
 //! script runs over TCP (exercising the journal path for every
 //! mutating command), the daemon is killed mid-flight and restarted
-//! with `--recover`, and the recovered session must report
+//! on the same `--store` (with `--snapshot-every 0`, so recovery is
+//! journal replay alone), and the recovered session must report
 //! byte-identical match state and metrics.
 
 use iwb_eval::domains::{generate_case, DomainKnobs, FINANCE};
@@ -28,15 +29,22 @@ impl Drop for TempDir {
     }
 }
 
-fn restart_with_recovery(addr: &str, journal_dir: &Path) -> ServerHandle {
+/// A daemon on `store_dir` that snapshots only on eviction and
+/// shutdown, so a killed daemon leaves the journal as its only record.
+fn journal_only(addr: &str, store_dir: &Path, recover: bool) -> ServerConfig {
+    ServerConfig {
+        addr: addr.to_owned(),
+        store_dir: Some(store_dir.to_path_buf()),
+        snapshot_every: 0,
+        recover,
+        ..ServerConfig::default()
+    }
+}
+
+fn restart_with_recovery(addr: &str, store_dir: &Path) -> ServerHandle {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        match serve(ServerConfig {
-            addr: addr.to_owned(),
-            journal_dir: Some(journal_dir.to_path_buf()),
-            recover: true,
-            ..ServerConfig::default()
-        }) {
+        match serve(journal_only(addr, store_dir, true)) {
             Ok(handle) => return handle,
             Err(e) if std::time::Instant::now() < deadline => {
                 let _ = e;
@@ -79,11 +87,7 @@ fn journaled_replay_survives_crash_and_recovery_byte_identically() {
         ..OracleConfig::default()
     };
 
-    let handle = serve(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
+    let handle = serve(journal_only("127.0.0.1:0", &dir.0, false)).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
     let mut client = Client::connect(&addr).expect("connect");

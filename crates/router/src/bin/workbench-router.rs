@@ -2,8 +2,10 @@
 //! a fleet of `workbenchd` backends.
 //!
 //! ```sh
-//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb --no-recover &
-//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb --no-recover &
+//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb-0 --no-recover \
+//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 0 &
+//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb-1 --no-recover \
+//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 1 &
 //! cargo run --release -p iwb-router --bin workbench-router -- \
 //!     --addr 127.0.0.1:7171 --backend 127.0.0.1:7181 --backend 127.0.0.1:7182
 //! ```
@@ -12,17 +14,9 @@
 //! router; session ids are rendezvous-hashed across the backends, a
 //! prober quarantines/re-admits them, and on backend death sessions
 //! are promoted onto their successor (`repl promote`; see
-//! `iwb_router::router`). Backends run with `--no-recover` and either
-//! share one `--store` directory, or keep one `--store` each and
-//! stream journal records to their rendezvous successor with
-//! `--repl-peers`/`--repl-self` — no shared disk:
-//!
-//! ```sh
-//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb-0 --no-recover \
-//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 0 &
-//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb-1 --no-recover \
-//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 1 &
-//! ```
+//! `iwb_router::router`). Each backend keeps its own `--store` and
+//! streams journal records to its rendezvous successor with
+//! `--repl-peers`/`--repl-self` — no shared disk.
 //!
 //! `migrate --all <backend>` (by index or address) drains a backend
 //! session by session for planned maintenance, and a restarted router

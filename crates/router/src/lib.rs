@@ -11,9 +11,9 @@
 //!   change, so a backend crash only remaps the sessions it owned.
 //! * [`router`] — the proxy itself: health-checked membership with
 //!   seeded-jitter probing, `RETRY-AFTER`-aware placement, sticky
-//!   routes, promotion-based failover (`repl promote` from a shared
-//!   `--store` directory *or* from streamed `--repl-peers` replicas,
-//!   refusing `STALE-REPLICA` evidence), planned draining
+//!   routes, promotion-based failover (`repl promote` from the
+//!   streamed `--repl-peers` replica on the successor's own
+//!   `--store`, refusing `STALE-REPLICA` evidence), planned draining
 //!   (`migrate --all <backend>`), restart re-discovery of placement
 //!   from the backends' own books, and per-session sequence stamping
 //!   for exactly-once mutation semantics.

@@ -20,20 +20,20 @@
 //!   fixed-rate, so the probe order is deterministic per seed).
 //!   `quarantine_after` consecutive failures quarantine a backend;
 //!   `readmit_after` consecutive successes re-admit it.
-//! * **Promotion-based failover, shared disk optional.** When the
-//!   owner dies (or `migrate <id>` asks), the router releases the
-//!   session on the old owner (best effort — a crashed backend cannot
-//!   answer), then asks the successor to `repl promote <id> <seq>`,
-//!   passing the last seq it saw acknowledged to a client as the
-//!   promotion floor. The backend rebuilds from its best local
-//!   evidence — its own journal/snapshot when the fleet shares a
-//!   `--store` directory, or the standby replica streamed to it by
-//!   `--repl-peers` replication when each backend has its own disk —
-//!   and *refuses* with `STALE-REPLICA` when that evidence is provably
-//!   behind the floor. The router surfaces the refusal rather than
-//!   serving silently-wrong state; only a successful promotion flips
-//!   the route. (Backends too old to promote fall back to the original
-//!   `session recover` handshake.)
+//! * **Promotion-based failover, no shared disk.** Every backend keeps
+//!   its own `--store` and streams each journaled commit to the
+//!   session's rendezvous successor (`--repl-peers`). When the owner
+//!   dies (or `migrate <id>` asks), the router releases the session on
+//!   the old owner (best effort — a crashed backend cannot answer),
+//!   then asks the successor to `repl promote <id> <seq>`, passing the
+//!   last seq it saw acknowledged to a client as the promotion floor.
+//!   The backend rebuilds from its best local evidence — the standby
+//!   replica, or its own journal/snapshot when the session comes back
+//!   to a former owner — and *refuses* with `STALE-REPLICA` when that
+//!   evidence is provably behind the floor. The router surfaces the
+//!   refusal rather than serving silently-wrong state; only a
+//!   successful promotion flips the route. Release + promote is the
+//!   one hand-off path, for failover and migration alike.
 //! * **Planned draining.** `migrate --all <backend>` walks every
 //!   session routed to one backend through the release → promote
 //!   handshake, rate-limited by [`RouterConfig::drain_interval`]. The
@@ -87,9 +87,9 @@ const MIGRATE_LOCK_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct RouterConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Backend `workbenchd` addresses. All of them run with
-    /// `--no-recover` and either share one `--store` directory or run
-    /// streamed replication (`--repl-peers`, one `--store` each).
+    /// Backend `workbenchd` addresses. Each runs with its own `--store`
+    /// and streamed replication (`--repl-peers` listing these same
+    /// addresses in this order), typically with `--no-recover`.
     pub backends: Vec<String>,
     /// Worker threads (= max concurrently served client connections).
     pub workers: usize,
@@ -235,7 +235,7 @@ struct BackendState {
 
 /// A session's pinned owner and sequence watermark. Commands lock the
 /// state; migration holds the lock across the whole
-/// release → recover → flip handshake, so concurrent commands see
+/// release → promote → flip handshake, so concurrent commands see
 /// either the old owner or the new one — never a half-migrated route.
 struct RouteState {
     backend: usize,
@@ -586,7 +586,7 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
 /// Parse one ownership row — `id=<id> … seq=<n>` (a `session list`
 /// line, or the tail of a `repl status` `source` line) — into the
 /// session id and its sequence watermark. Rows without a watermark
-/// (journaling off) claim `seq=0`.
+/// (in-memory backends, no `--store`) claim `seq=0`.
 fn ownership_row(line: &str) -> Option<(String, u64)> {
     let mut id = None;
     let mut seq = None;
@@ -677,8 +677,8 @@ struct ClientConn<'a> {
     upstream: Option<Upstream>,
 }
 
-/// Extract the `seq=N` watermark a backend appends to attach/recover
-/// replies.
+/// Extract the `seq=N` watermark a backend appends to attach, release
+/// and promote replies.
 fn seq_in(body: &str) -> Option<u64> {
     let (_, tail) = body.rsplit_once("seq=")?;
     tail.split_whitespace().next()?.parse().ok()
@@ -691,9 +691,9 @@ enum PromoteOutcome {
     /// Refused: the backend's evidence is provably behind the floor.
     /// Carries the backend's `STALE-REPLICA …` body for the client.
     Stale(String),
-    /// The backend cannot promote at all (unreachable, journaling
-    /// off, no persisted state) — try the legacy recover handshake.
-    Unavailable,
+    /// The backend cannot take the session (unreachable, no persisted
+    /// state) — try the next-ranked one.
+    Declined,
 }
 
 /// How a failover attempt ended.
@@ -946,8 +946,8 @@ impl ClientConn<'_> {
 
     /// Attach to an existing session: the route table wins; a route
     /// miss walks the ranking, and a session that is live nowhere but
-    /// persisted in the shared store is recovered onto its top-ranked
-    /// healthy backend.
+    /// persisted on some backend (its journal, snapshot or standby
+    /// replica) is promoted there, top-ranked healthy backend first.
     fn attach(&mut self, id: &str) -> (bool, String, bool) {
         if let Some(entry) = self.fleet.route(id) {
             let Some(mut st) = lock_route(&entry, ROUTE_LOCK_TIMEOUT) else {
@@ -1006,7 +1006,8 @@ impl ClientConn<'_> {
             };
         }
         // No route yet: first try live backends in preference order,
-        // then fall back to store recovery on the top-ranked one.
+        // then promote from whatever a backend persisted (floor 0: the
+        // router has acked nothing for this session).
         let ranked = self.fleet.healthy_rank(id);
         for &b in &ranked {
             if let Ok((client, seq)) = self.dial_attached(b, id) {
@@ -1018,7 +1019,7 @@ impl ClientConn<'_> {
             }
         }
         for &b in &ranked {
-            let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
+            let Ok(resp) = self.admin_request(b, &format!("repl promote {id} 0")) else {
                 continue;
             };
             if !resp.ok {
@@ -1073,7 +1074,7 @@ impl ClientConn<'_> {
     }
 
     /// Planned migration: hold the route lock across the whole
-    /// release → (stall) → recover → flip handshake. Concurrent
+    /// release → (stall) → promote → flip handshake. Concurrent
     /// commands and attaches on this session time out on the lock and
     /// answer `MOVED` — retryable, and correct both before and after
     /// the flip.
@@ -1115,15 +1116,7 @@ impl ClientConn<'_> {
                     stale = Some(body);
                     continue;
                 }
-                PromoteOutcome::Unavailable => {
-                    let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
-                        continue;
-                    };
-                    if !resp.ok {
-                        continue;
-                    }
-                    seq_in(&resp.body).unwrap_or(st.seq)
-                }
+                PromoteOutcome::Declined => continue,
             };
             st.backend = b;
             st.seq = seq.max(st.seq);
@@ -1138,7 +1131,7 @@ impl ClientConn<'_> {
         // No successor took it: put it back where it was so the
         // session stays reachable.
         if released {
-            let _ = self.admin_request(old, &format!("session recover {id}"));
+            let _ = self.admin_request(old, &format!("repl promote {id} {floor}"));
         }
         match stale {
             Some(body) => (false, body, false),
@@ -1207,7 +1200,7 @@ impl ClientConn<'_> {
 
     /// Forward one shell command to the session's owner, stamping
     /// mutating commands with the route's sequence number and failing
-    /// over (release → recover → flip → retry the *same* stamp) when
+    /// over (release → promote → flip → retry the *same* stamp) when
     /// the owner dies mid-flight.
     fn forward_shell(&mut self, command: &str, heredoc: Option<&str>) -> (bool, String) {
         let Some(id) = self.attached.clone() else {
@@ -1314,8 +1307,8 @@ impl ClientConn<'_> {
                 }
                 Err(_) => {
                     // Mid-flight death: the ack (if any) is lost, but
-                    // the journal record (if reached) survives — on
-                    // shared disk or in the successor's replica. Fail
+                    // the journal record (if reached) survives in the
+                    // successor's replica. Fail
                     // over and retry the same stamped command.
                     self.upstream = None;
                     match self.failover(&id, &mut st) {
@@ -1356,7 +1349,7 @@ impl ClientConn<'_> {
                     .fetch_add(1, Ordering::Relaxed);
                 PromoteOutcome::Stale(resp.body)
             }
-            _ => PromoteOutcome::Unavailable,
+            _ => PromoteOutcome::Declined,
         }
     }
 
@@ -1364,10 +1357,9 @@ impl ClientConn<'_> {
     /// best-effort (a crashed backend cannot answer; an alive-but-
     /// quarantined one must drop the session so it is never live in two
     /// places), then walk the next-ranked healthy backends asking each
-    /// to `repl promote` from its best evidence — own journal/snapshot
-    /// on a shared store, or the standby replica under streamed
-    /// replication. A `STALE-REPLICA` refusal is remembered and
-    /// surfaced when nobody can do better.
+    /// to `repl promote` from its best evidence — the standby replica,
+    /// or its own journal/snapshot. A `STALE-REPLICA` refusal is
+    /// remembered and surfaced when nobody can do better.
     fn failover(&self, id: &str, st: &mut RouteState) -> FailoverOutcome {
         let dead = st.backend;
         self.fleet.mark_down(dead);
@@ -1388,21 +1380,7 @@ impl ClientConn<'_> {
                     return FailoverOutcome::Flipped;
                 }
                 PromoteOutcome::Stale(body) => stale = Some(body),
-                PromoteOutcome::Unavailable => {
-                    // Journaling-off backends keep the legacy
-                    // shared-store recover handshake.
-                    let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
-                        continue;
-                    };
-                    if !resp.ok {
-                        continue;
-                    }
-                    st.backend = b;
-                    if let Some(n) = seq_in(&resp.body) {
-                        st.seq = n;
-                    }
-                    return FailoverOutcome::Flipped;
-                }
+                PromoteOutcome::Declined => {}
             }
         }
         match stale {
@@ -1476,7 +1454,7 @@ impl ClientConn<'_> {
         Ok((client, seq))
     }
 
-    /// One short-lived admin request (release/recover/close/cancel) on
+    /// One short-lived admin request (release/promote/close/cancel) on
     /// its own connection, so admin traffic never disturbs the
     /// attached upstream.
     fn admin_request(&self, backend: usize, command: &str) -> io::Result<Response> {
@@ -1498,7 +1476,7 @@ mod tests {
         assert_eq!(
             ownership_row("id=r2 commands=0 idle_ms=3 quarantined=true"),
             Some(("r2".to_owned(), 0)),
-            "journaling-off rows claim seq=0"
+            "in-memory (store-less) rows claim seq=0"
         );
         assert_eq!(
             ownership_row("source id=r3 seq=7 acked=5 lag=2"),

@@ -1,5 +1,7 @@
 //! Fleet chaos tests: deterministic fault injection against a live
-//! router + `workbenchd` backends sharing one store directory.
+//! router + `workbenchd` backends, each on its own store directory and
+//! streaming its journals to its rendezvous successor (`--repl-peers`),
+//! so failover and migration go through `repl promote`.
 //!
 //! Every scenario runs with fixed seeds, so a failure reproduces
 //! exactly. Covered:
@@ -17,57 +19,17 @@
 //!   commands answer retryable `MOVED`, `Client::reconnect` follows
 //!   the hint, and the session lands on the successor intact.
 
+mod common;
+
+use common::{
+    observable_state, spawn_fleet, spawn_router, stop_all, warm, TempDir, ACCEPT, SCHEMA_A,
+};
 use iwb_router::hash;
-use iwb_router::router::{serve as serve_router, RouterConfig, RouterHandle};
+use iwb_router::router::RouterConfig;
 use iwb_server::client::{Backoff, Client};
 use iwb_server::fault::{FaultPlan, FaultSpec, MIGRATION_STALL, PROBE_TIMEOUT, SPLIT_ROUTING};
-use iwb_server::server::{serve, ServerConfig, ServerHandle};
-use std::path::{Path, PathBuf};
+use iwb_server::server::{serve, ServerConfig};
 use std::time::{Duration, Instant};
-
-const SCHEMA_A: &str =
-    "entity SHIPMENT \"An outgoing shipment.\" { ship_dt : date \"Date shipped.\" }";
-const SCHEMA_B: &str =
-    "entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" }";
-const ACCEPT: &str = "accept a b a/SHIPMENT/ship_dt b/DELIVERY/deliver_dt";
-
-/// A scratch store directory, cleaned on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("iwb-fleet-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// One fleet backend: shared store, no startup sweep (the router
-/// directs per-session recovery), optional faults.
-fn spawn_backend(store: &Path, faults: FaultPlan) -> ServerHandle {
-    serve(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        store_dir: Some(store.to_path_buf()),
-        recover: false,
-        faults,
-        ..ServerConfig::default()
-    })
-    .expect("bind backend")
-}
-
-fn spawn_router(backends: &[&ServerHandle], config: RouterConfig) -> RouterHandle {
-    serve_router(RouterConfig {
-        backends: backends.iter().map(|b| b.addr().to_string()).collect(),
-        ..config
-    })
-    .expect("bind router")
-}
 
 fn wait_until(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     let end = Instant::now() + deadline;
@@ -77,54 +39,31 @@ fn wait_until(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Everything export- and query-visible about a session, for
-/// byte-identical comparison across a failover.
-fn observable_state(c: &mut Client) -> String {
-    let export = c.request("export").unwrap().expect_ok().unwrap();
-    let coverage = c.request("show coverage").unwrap().expect_ok().unwrap();
-    format!("{export}\n---\n{coverage}")
-}
-
-/// Load two schemas and match them (3 mutating commands).
-fn warm(c: &mut Client) {
-    c.request_with_heredoc("load er a", SCHEMA_A)
-        .unwrap()
-        .expect_ok()
-        .unwrap();
-    c.request_with_heredoc("load er b", SCHEMA_B)
-        .unwrap()
-        .expect_ok()
-        .unwrap();
-    c.request("match a b").unwrap().expect_ok().unwrap();
-}
-
 #[test]
 fn killed_backend_mid_command_fails_over_with_zero_session_loss() {
     iwb_server::quiet_injected_panics();
-    let store = TempDir::new("kill");
     let owner = hash::rank("victim", 3)[0];
     // Every command on the victim runs slow, so the kill lands while
     // the accept is mid-execution and its ack is provably lost.
     let slow = FaultSpec::parse("seed=11,exec-slow=1.0:250")
         .unwrap()
         .build();
-    let mut backends: Vec<Option<ServerHandle>> = (0..3)
-        .map(|i| {
-            let faults = if i == owner {
-                slow.clone()
-            } else {
-                FaultPlan::none()
-            };
-            Some(spawn_backend(&store.0, faults))
-        })
-        .collect();
-    let refs: Vec<&ServerHandle> = backends.iter().map(|b| b.as_ref().unwrap()).collect();
-    let router = spawn_router(&refs, RouterConfig::default());
-    drop(refs);
+    let (peers, _stores, mut backends) = spawn_fleet("kill", 3, |i| {
+        if i == owner {
+            slow.clone()
+        } else {
+            FaultPlan::none()
+        }
+    });
+    let router = spawn_router(&peers, RouterConfig::default());
 
     // Control: the same script against a fault-free single daemon.
     let control_store = TempDir::new("kill-control");
-    let control = spawn_backend(&control_store.0, FaultPlan::none());
+    let control = serve(ServerConfig {
+        store_dir: Some(control_store.0.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind control");
     let expected = {
         let mut c = Client::connect(control.addr()).unwrap();
         c.session_new(Some("victim")).unwrap();
@@ -177,8 +116,8 @@ fn killed_backend_mid_command_fails_over_with_zero_session_loss() {
         "failover must promote the session's own second choice"
     );
 
-    // Zero loss, byte-identical: the recovered state matches the
-    // fault-free control run exactly.
+    // Zero loss, byte-identical: the state promoted from the replica
+    // matches the fault-free control run exactly.
     let mut c = Client::connect(router.addr()).unwrap();
     c.session_attach("victim").unwrap();
     assert_eq!(observable_state(&mut c), expected);
@@ -191,24 +130,19 @@ fn killed_backend_mid_command_fails_over_with_zero_session_loss() {
 
     router.shutdown();
     router.join();
-    for b in backends.into_iter().flatten() {
-        b.shutdown();
-        b.join();
-    }
+    stop_all(backends);
 }
 
 #[test]
 fn split_routing_is_rejected_by_the_sequence_guard() {
     iwb_server::quiet_injected_panics();
-    let store = TempDir::new("split");
-    let a = spawn_backend(&store.0, FaultPlan::none());
-    let b = spawn_backend(&store.0, FaultPlan::none());
+    let (peers, _stores, backends) = spawn_fleet("split", 2, |_| FaultPlan::none());
     let owner = hash::rank("sp", 2)[0];
-    let (owner_handle, other_handle) = if owner == 0 { (&a, &b) } else { (&b, &a) };
+    let (owner_addr, other_addr) = (&peers[owner], &peers[1 - owner]);
     // The 6th mutating command (per-point index 5) is delivered to the
     // stale non-owner as well as the owner.
     let router = spawn_router(
-        &[&a, &b],
+        &peers,
         RouterConfig {
             faults: FaultSpec::seeded(7).at(SPLIT_ROUTING, &[5]).build(),
             ..RouterConfig::default()
@@ -219,14 +153,15 @@ fn split_routing_is_rejected_by_the_sequence_guard() {
     c.session_new(Some("sp")).unwrap();
     warm(&mut c); // mutating commands 0..3 → seq 3
 
-    // Fork a stale replica: recover the session onto the non-owner
-    // directly, behind the router's back, frozen at seq 3.
-    let mut stale = Client::connect(other_handle.addr()).unwrap();
-    stale
-        .request("session recover sp")
+    // Fork a stale copy: promote the non-owner's replica directly,
+    // behind the router's back, frozen at seq 3.
+    let mut stale = Client::connect(other_addr).unwrap();
+    let body = stale
+        .request("repl promote sp 3")
         .unwrap()
         .expect_ok()
         .unwrap();
+    assert_eq!(body, "session sp promoted seq=3");
 
     // Two more mutations through the router (owner reaches seq 5),
     // then the diverted one (stamped @5; the stale replica expects 3).
@@ -243,29 +178,25 @@ fn split_routing_is_rejected_by_the_sequence_guard() {
 
     // Exactly-once: the owner applied all 6 mutations, the stale
     // replica applied none past its recovery point.
-    let mut on_owner = Client::connect(owner_handle.addr()).unwrap();
+    let mut on_owner = Client::connect(owner_addr).unwrap();
     let body = on_owner.session_attach("sp").unwrap();
     assert!(body.ends_with("seq=6"), "owner watermark: {body}");
-    let mut on_other = Client::connect(other_handle.addr()).unwrap();
+    let mut on_other = Client::connect(other_addr).unwrap();
     let body = on_other.session_attach("sp").unwrap();
     assert!(body.ends_with("seq=3"), "stale watermark: {body}");
 
     router.shutdown();
     router.join();
-    for h in [a, b] {
-        h.shutdown();
-        h.join();
-    }
+    stop_all(backends);
 }
 
 #[test]
 fn probe_timeouts_quarantine_then_readmit_a_backend() {
     iwb_server::quiet_injected_panics();
-    let store = TempDir::new("probe");
-    let backend = spawn_backend(&store.0, FaultPlan::none());
+    let (peers, _stores, backends) = spawn_fleet("probe", 1, |_| FaultPlan::none());
     // The first 10 probes are swallowed; everything after succeeds.
     let router = spawn_router(
-        &[&backend],
+        &peers,
         RouterConfig {
             probe_interval: Duration::from_millis(40),
             quarantine_after: 2,
@@ -306,22 +237,19 @@ fn probe_timeouts_quarantine_then_readmit_a_backend() {
 
     router.shutdown();
     router.join();
-    backend.shutdown();
-    backend.join();
+    stop_all(backends);
 }
 
 #[test]
 fn planned_migration_stalls_answer_moved_and_reconnect_follows() {
     iwb_server::quiet_injected_panics();
-    let store = TempDir::new("migrate");
-    let a = spawn_backend(&store.0, FaultPlan::none());
-    let b = spawn_backend(&store.0, FaultPlan::none());
+    let (peers, _stores, backends) = spawn_fleet("migrate", 2, |_| FaultPlan::none());
     let owner = hash::rank("mig", 2)[0];
-    // The first migration stalls 700ms between release and recover —
+    // The first migration stalls 700ms between release and promote —
     // long enough that concurrent commands exhaust the route-lock
     // budget and answer MOVED.
     let router = spawn_router(
-        &[&a, &b],
+        &peers,
         RouterConfig {
             faults: FaultSpec::seeded(3)
                 .at(MIGRATION_STALL, &[0])
@@ -380,8 +308,5 @@ fn planned_migration_stalls_answer_moved_and_reconnect_follows() {
 
     router.shutdown();
     router.join();
-    for h in [a, b] {
-        h.shutdown();
-        h.join();
-    }
+    stop_all(backends);
 }

@@ -22,133 +22,14 @@
 use iwb_eval::domains::{generate_case, DomainKnobs, FINANCE};
 use iwb_eval::replay::{run_replay, ClientTransport, OracleConfig, ReplayOutcome, ShellTransport};
 use iwb_eval::EvalCase;
+mod common;
+
+use common::{observable_state, spawn_fleet, spawn_router, stop_all, warm, ACCEPT};
 use iwb_router::hash;
-use iwb_router::router::{serve as serve_router, RouterConfig, RouterHandle};
+use iwb_router::router::RouterConfig;
 use iwb_server::client::Client;
 use iwb_server::fault::{FaultPlan, FaultSpec, PROMOTE_STALE};
-use iwb_server::repl::ReplConfig;
-use iwb_server::server::{serve, ServerConfig, ServerHandle};
-use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-const SCHEMA_A: &str =
-    "entity SHIPMENT \"An outgoing shipment.\" { ship_dt : date \"Date shipped.\" }";
-const SCHEMA_B: &str =
-    "entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" }";
-const ACCEPT: &str = "accept a b a/SHIPMENT/ship_dt b/DELIVERY/deliver_dt";
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("iwb-rchaos-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Reserve concrete loopback addresses: the replication peer list must
-/// be identical on every backend *before* any of them starts.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            TcpListener::bind("127.0.0.1:0")
-                .unwrap()
-                .local_addr()
-                .unwrap()
-                .to_string()
-        })
-        .collect()
-}
-
-/// One fleet member: its own store directory, replication to its
-/// rendezvous successor, no startup sweep.
-fn spawn_backend(
-    addr: &str,
-    store: &Path,
-    peers: &[String],
-    slot: usize,
-    faults: FaultPlan,
-) -> ServerHandle {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match serve(ServerConfig {
-            addr: addr.to_owned(),
-            store_dir: Some(store.to_path_buf()),
-            recover: false,
-            faults: faults.clone(),
-            repl: Some(ReplConfig {
-                peers: peers.to_vec(),
-                self_index: slot,
-            }),
-            ..ServerConfig::default()
-        }) {
-            Ok(handle) => return handle,
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => panic!("could not bind {addr}: {e}"),
-        }
-    }
-}
-
-/// A replicated fleet of `n` backends, each on its own store.
-fn spawn_fleet(
-    tag: &str,
-    n: usize,
-    faults_for: impl Fn(usize) -> FaultPlan,
-) -> (Vec<String>, Vec<TempDir>, Vec<Option<ServerHandle>>) {
-    let peers = reserve_addrs(n);
-    let stores: Vec<TempDir> = (0..n).map(|i| TempDir::new(&format!("{tag}{i}"))).collect();
-    let backends = (0..n)
-        .map(|i| {
-            Some(spawn_backend(
-                &peers[i],
-                &stores[i].0,
-                &peers,
-                i,
-                faults_for(i),
-            ))
-        })
-        .collect();
-    (peers, stores, backends)
-}
-
-fn spawn_router(peers: &[String], config: RouterConfig) -> RouterHandle {
-    serve_router(RouterConfig {
-        backends: peers.to_vec(),
-        ..config
-    })
-    .expect("bind router")
-}
-
-/// Everything export- and query-visible about a session.
-fn observable_state(c: &mut Client) -> String {
-    let export = c.request("export").unwrap().expect_ok().unwrap();
-    let coverage = c.request("show coverage").unwrap().expect_ok().unwrap();
-    format!("{export}\n---\n{coverage}")
-}
-
-/// Load two schemas and match them (3 mutating commands).
-fn warm(c: &mut Client) {
-    c.request_with_heredoc("load er a", SCHEMA_A)
-        .unwrap()
-        .expect_ok()
-        .unwrap();
-    c.request_with_heredoc("load er b", SCHEMA_B)
-        .unwrap()
-        .expect_ok()
-        .unwrap();
-    c.request("match a b").unwrap().expect_ok().unwrap();
-}
+use std::time::Duration;
 
 fn small_case() -> EvalCase {
     let knobs = DomainKnobs {
@@ -252,10 +133,7 @@ fn curation_replay_survives_a_mid_run_backend_kill_byte_identically() {
 
     router.shutdown();
     router.join();
-    for b in backends.into_iter().flatten() {
-        b.shutdown();
-        b.join();
-    }
+    stop_all(backends);
 }
 
 #[test]
@@ -310,10 +188,7 @@ fn a_replica_held_behind_by_disconnects_refuses_promotion_as_stale() {
 
     router.shutdown();
     router.join();
-    for b in backends.into_iter().flatten() {
-        b.shutdown();
-        b.join();
-    }
+    stop_all(backends);
 }
 
 #[test]
@@ -365,10 +240,7 @@ fn promote_stale_fault_forces_one_deterministic_refusal_then_recovers() {
 
     router.shutdown();
     router.join();
-    for b in backends.into_iter().flatten() {
-        b.shutdown();
-        b.join();
-    }
+    stop_all(backends);
 }
 
 #[test]
@@ -476,8 +348,5 @@ fn drain_then_router_restart_rediscovers_placement_without_redraining() {
 
     restarted.shutdown();
     restarted.join();
-    for b in backends.into_iter().flatten() {
-        b.shutdown();
-        b.join();
-    }
+    stop_all(backends);
 }

@@ -12,25 +12,23 @@
 //! * `--max-sessions N`        live-session cap (default 64)
 //! * `--idle-timeout SECS`     session idle eviction (default 300)
 //! * `--read-timeout SECS`     stalled-connection drop (default 30)
-//! * `--journal DIR`           journal every session's mutating
-//!   commands under DIR (fsync on commit)
-//! * `--recover DIR`           like `--journal DIR`, plus replay the
-//!   journals found there on startup — sessions survive a daemon
-//!   crash and clients re-`session attach` their old ids
-//! * `--store DIR`             persistent match store: like
-//!   `--recover DIR`, plus sessions snapshot their warm state
-//!   (schema graphs + text features, match results, the blocking
-//!   index) under DIR in the background and on eviction/shutdown;
-//!   recovery loads the verified snapshot and replays only the
-//!   journal suffix past its watermark, reopening sessions warm
+//! * `--store DIR`             durable sessions (without it sessions
+//!   live in memory only): every session journals its mutating
+//!   commands under DIR (fsync on commit) and snapshots its warm
+//!   state (schema graphs + text features, match results, the
+//!   blocking index) there in the background and on
+//!   eviction/shutdown. On startup the daemon rebuilds the sessions
+//!   it finds — the verified snapshot plus the journal suffix past
+//!   its watermark — so sessions survive a crash and clients
+//!   re-`session attach` their old ids
 //! * `--snapshot-every N`      background-snapshot cadence in
 //!   journaled commands (default 64; 0 snapshots only on
-//!   eviction/shutdown; needs `--store`)
-//! * `--no-recover`            skip the startup journal sweep even
-//!   with `--store`/`--recover`. Fleet backends behind a
-//!   `workbench-router` run this way: every backend shares the store
-//!   directory, so each must recover only the sessions the router
-//!   routes to it (via `session recover <id>`), not all of them
+//!   eviction/shutdown, so recovery replays the whole journal;
+//!   needs `--store`)
+//! * `--no-recover`            skip the startup sweep of `--store`.
+//!   Fleet backends behind a `workbench-router` may run this way:
+//!   the router brings each session back on demand with
+//!   `repl promote <id> <seq>`
 //! * `--quarantine-after N`    quarantine a session after N
 //!   consecutive panicking commands (default 3; 0 disables)
 //! * `--max-line-bytes N`      protocol line bound (default 65536)
@@ -48,8 +46,7 @@
 //!   Every journaled commit streams to the session's rendezvous
 //!   successor, which keeps a warm standby journal; on backend death
 //!   the router promotes from that replica (`repl promote`) with no
-//!   shared disk. Requires `--journal`/`--recover`/`--store` and
-//!   `--repl-self`
+//!   shared disk. Requires `--store` and `--repl-self`
 //! * `--repl-self N`           this backend's index in the
 //!   `--repl-peers` list
 //! * `--faults SPEC`           deterministic fault injection, e.g.
@@ -67,7 +64,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: workbenchd [--addr HOST:PORT] [--workers N] [--max-sessions N] \
-         [--idle-timeout SECS] [--read-timeout SECS] [--journal DIR] [--recover DIR] \
+         [--idle-timeout SECS] [--read-timeout SECS] \
          [--store DIR] [--snapshot-every N] [--no-recover] \
          [--quarantine-after N] [--max-line-bytes N] [--max-heredoc-bytes N] \
          [--default-deadline-ms N] [--max-pending N] \
@@ -111,11 +108,6 @@ fn parse_args() -> ServerConfig {
                 Ok(secs) => config.read_timeout = Duration::from_secs(secs),
                 _ => usage(),
             },
-            "--journal" => config.journal_dir = Some(PathBuf::from(value("--journal"))),
-            "--recover" => {
-                config.journal_dir = Some(PathBuf::from(value("--recover")));
-                config.recover = true;
-            }
             "--store" => {
                 config.store_dir = Some(PathBuf::from(value("--store")));
                 config.recover = true;

@@ -9,7 +9,7 @@
 //! with exponential backoff + jitter, and [`Client::reconnect`]
 //! re-dials the same peer and safely re-attaches the session the
 //! client was using (sessions survive restarts when the daemon runs
-//! with `--recover`, so a reconnect usually lands exactly where the
+//! with `--store`, so a reconnect usually lands exactly where the
 //! crash interrupted).
 
 use iwb_core::RetryableError;
@@ -195,7 +195,7 @@ impl Client {
 
     /// Re-dial the same peer (with backoff) and re-attach the tracked
     /// session. If the server no longer knows the session — it crashed
-    /// without journaling, or the session was evicted — the tracked id
+    /// without a store, or the session was evicted — the tracked id
     /// is cleared and an error naming the lost session is returned, so
     /// the caller can decide between `session new` and giving up.
     ///

@@ -7,7 +7,7 @@
 //! acknowledges it, so a daemon crash loses at most the command whose
 //! `ok` the client never saw. Because the shell language is
 //! deterministic, replaying the journal rebuilds the session's exact
-//! blackboard state — `workbenchd --recover <dir>` does that on
+//! blackboard state — `workbenchd --store <dir>` does that on
 //! startup and clients simply `session attach` their pre-crash ids.
 //!
 //! ## On-disk format
@@ -28,16 +28,16 @@
 //!
 //! ## Compaction and the snapshot watermark
 //!
-//! The journal keeps its record list in memory; every
-//! `compact_every` appends (and after recovering a torn file) it is
-//! rewritten atomically (tmp + fsync + rename), healing torn garbage
-//! and re-framing the history into one clean segment.
+//! The journal keeps its record list in memory. After a torn or failed
+//! write (and when recovery adopts a torn file) it is rewritten
+//! atomically (tmp + fsync + rename) before the next append, healing
+//! the garbage and re-framing the history into one clean segment.
 //!
-//! With a snapshot store attached (`workbenchd --store`), compaction
-//! also *truncates*: once a snapshot at watermark `W` has been written
-//! **and verified by a read-back**, [`Journal::truncate_to`] raises the
-//! durable base to `W` and the rewritten file carries only the suffix
-//! `records[W..]` (the header records the base as its third token).
+//! Compaction also *truncates*: once a snapshot at watermark `W` has
+//! been written **and verified by a read-back**,
+//! [`Journal::truncate_to`] raises the durable base to `W` and the
+//! rewritten file carries only the suffix `records[W..]` (the header
+//! records the base as its third token).
 //! The handshake direction matters — the base is advanced only after
 //! the snapshot verifies, never in the same step as the snapshot
 //! write, so a crash (or injected corruption) between snapshot commit
@@ -65,8 +65,6 @@ pub struct JournalConfig {
     /// fsync each record before acknowledging (durability; tests may
     /// turn it off for speed).
     pub fsync: bool,
-    /// Rewrite the file after this many appends.
-    pub compact_every: u64,
 }
 
 impl JournalConfig {
@@ -75,7 +73,6 @@ impl JournalConfig {
         JournalConfig {
             dir: dir.into(),
             fsync: true,
-            compact_every: 256,
         }
     }
 }
@@ -121,7 +118,7 @@ pub struct LoadedJournal {
     pub session_id: String,
     /// Durable base from the header: how many records of logical
     /// history were truncated away because a verified snapshot covers
-    /// them. `0` for journals written without a store.
+    /// them. `0` until a verified snapshot covers a prefix.
     pub base: u64,
     /// Records up to the first torn/corrupt one (logical indices
     /// `base..base + records.len()`).
@@ -144,9 +141,9 @@ pub struct Journal {
     /// snapshot covers them. Invariant: never exceeds the watermark of
     /// the last snapshot that passed a read-back verification.
     durable_base: u64,
-    appends_since_compact: u64,
-    /// A torn write left garbage at the file tail; rewrite before the
-    /// next append so the garbage never buries later records.
+    /// A torn or failed write left the file tail behind the in-memory
+    /// history (or under garbage); rewrite before the next append so
+    /// later records never land past it.
     dirty_tail: bool,
     config: JournalConfig,
 }
@@ -172,7 +169,6 @@ impl Journal {
             session_id: session_id.to_owned(),
             records: Vec::new(),
             durable_base: 0,
-            appends_since_compact: 0,
             dirty_tail: false,
             config: config.clone(),
         })
@@ -181,7 +177,7 @@ impl Journal {
     /// Rebuild a journal from recovered records, rewriting the file
     /// into one clean segment (heals any torn tail on disk). `records`
     /// is the *full* logical history; `base` is how many leading
-    /// records a verified snapshot already covers (0 without a store),
+    /// records a verified snapshot already covers (0 for none),
     /// and only the suffix past it is written back to disk.
     pub fn adopt(
         config: &JournalConfig,
@@ -257,10 +253,12 @@ impl Journal {
     /// is observable only if the process dies first (exactly the
     /// window a real torn write has). Returns `true` if a torn write
     /// was injected.
+    ///
+    /// The caller has already applied the command, so the record joins
+    /// the in-memory history even when the write fails: the error is
+    /// returned, the tail is marked dirty, and the next append rewrites
+    /// the file (on a fresh handle) before writing past it.
     pub fn append(&mut self, record: JournalRecord, faults: &FaultPlan) -> io::Result<bool> {
-        if self.dirty_tail {
-            self.compact()?;
-        }
         let encoded = record.encode();
         let torn = faults.fires(JOURNAL_TORN).is_some();
         let bytes = if torn {
@@ -268,17 +266,22 @@ impl Journal {
         } else {
             &encoded[..]
         };
+        let written = self.write_tail(bytes);
+        self.records.push(record);
+        self.dirty_tail = torn || written.is_err();
+        written.map(|()| torn)
+    }
+
+    /// Write `bytes` at the file tail, healing a dirty tail first.
+    fn write_tail(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.dirty_tail {
+            self.compact()?;
+        }
         self.file.write_all(bytes)?;
         if self.config.fsync {
             self.file.sync_data()?;
         }
-        self.records.push(record);
-        self.dirty_tail = torn;
-        self.appends_since_compact += 1;
-        if self.appends_since_compact >= self.config.compact_every.max(1) && !self.dirty_tail {
-            self.compact()?;
-        }
-        Ok(torn)
+        Ok(())
     }
 
     /// Atomically rewrite the file from the in-memory history: write a
@@ -300,7 +303,6 @@ impl Journal {
         }
         fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.appends_since_compact = 0;
         self.dirty_tail = false;
         Ok(())
     }
@@ -489,32 +491,45 @@ mod tests {
         let config = JournalConfig::new(tmp_dir("heal"));
         let torn_first = FaultSpec::seeded(0).at(JOURNAL_TORN, &[0]).build();
         let mut j = Journal::create(&config, "s").unwrap();
-        assert!(j.append(rec("match a b", None), &torn_first).unwrap());
-        // The next append first compacts, so both records survive.
-        assert!(!j.append(rec("accept a b r c", None), &torn_first).unwrap());
+        assert!(j.append(rec("match a b0", None), &torn_first).unwrap());
+        // The next append first compacts, so every record survives and
+        // the rewritten history keeps its order.
+        for i in 1..10 {
+            let torn = j.append(rec(&format!("match a b{i}"), None), &torn_first);
+            assert!(!torn.unwrap());
+        }
         drop(j);
 
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
         assert!(!loaded.torn_tail);
-        assert_eq!(loaded.records.len(), 2);
+        assert_eq!(loaded.records.len(), 10);
+        for (i, record) in loaded.records.iter().enumerate() {
+            assert_eq!(record.command, format!("match a b{i}"));
+        }
         let _ = fs::remove_dir_all(&config.dir);
     }
 
     #[test]
-    fn compaction_triggers_and_preserves_history() {
-        let config = JournalConfig {
-            compact_every: 4,
-            ..JournalConfig::new(tmp_dir("compact"))
-        };
-        let mut j = Journal::create(&config, "s").unwrap();
+    fn a_failed_write_keeps_the_record_and_the_next_append_heals() {
+        let config = JournalConfig::new(tmp_dir("failed"));
         let none = FaultPlan::none();
-        for i in 0..10 {
-            j.append(rec(&format!("match a b{i}"), None), &none)
-                .unwrap();
-        }
-        let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
-        assert_eq!(loaded.records.len(), 10);
+        let mut j = Journal::create(&config, "s").unwrap();
+        let path = Journal::path_for(&config.dir, "s");
+        // A read-only handle makes the next write fail, as a full or
+        // failing disk would.
+        j.file = File::open(&path).unwrap();
+        assert!(j.append(rec("match a b0", None), &none).is_err());
+        assert_eq!(j.len(), 1, "the applied command stays in the history");
+        // The next append rewrites the file on a fresh handle first.
+        assert!(!j.append(rec("match a b1", None), &none).unwrap());
+        assert!(!j.append(rec("match a b2", None), &none).unwrap());
+        assert_eq!(j.len(), 3);
+        drop(j);
+
+        let loaded = Journal::load(&path).unwrap();
         assert!(!loaded.torn_tail);
+        let commands: Vec<&str> = loaded.records.iter().map(|r| r.command.as_str()).collect();
+        assert_eq!(commands, ["match a b0", "match a b1", "match a b2"]);
         let _ = fs::remove_dir_all(&config.dir);
     }
 

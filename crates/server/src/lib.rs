@@ -19,8 +19,8 @@
 //!   within a session stay serialized), and graceful drain on
 //!   shutdown;
 //! * [`journal`] — append-only per-session command journals (fsync on
-//!   commit, periodic compaction) and the crash-recovery replay behind
-//!   `workbenchd --recover`;
+//!   commit, torn-tail healing, snapshot-driven truncation) and the
+//!   crash-recovery replay behind `workbenchd --store`;
 //! * [`repl`] — streamed journal replication for fleets without a
 //!   shared disk: each backend ships committed records to the
 //!   session's rendezvous successor, keeps standby journals for its
@@ -51,11 +51,11 @@
 //! session list          one line per live session
 //! session current       the attached session id
 //! session release <id>  persist a session and drop it live (files kept)
-//! session recover <id>  load a persisted session from the store/journal
 //! repl subscribe <id> <len>   replication handshake (backend → backend)
 //! repl append <id> <seq> <c>  stream one journal record to a replica
 //! repl status           per-session replication lag + standby journals
-//! repl promote <id> <min-seq> rebuild from the best local evidence, or
+//! repl promote <id> <min-seq> rebuild from the best local evidence
+//!                       (own journal/snapshot or standby replica), or
 //!                       refuse with STALE-REPLICA if provably behind
 //! cancel <id>           interrupt the command in flight in a session
 //! stats                 server counters + latency percentiles
@@ -72,16 +72,16 @@
 //! running.
 //!
 //! A shell command may carry a sequence stamp: `@N <command>`. With
-//! journaling enabled the session refuses a *mutating* stamped command
+//! a store the session refuses a *mutating* stamped command
 //! unless `N` equals its journal length — a replayed stamp answers
 //! `ok` with a `DUPLICATE seq=N` body **without re-executing**, a
 //! stamp from the future answers `err SEQ-GAP expected=E got=N`. This
 //! is what makes fleet failover retries (`iwb-router`) exactly-once:
 //! redelivery of a command whose ack was lost in a crash is
 //! acknowledged from the journal, and a stale backend reached by split
-//! routing refuses to fork the history. `session release` +
-//! `session recover` are the planned-migration handshake over the
-//! shared store directory (see `workbenchd --no-recover`).
+//! routing refuses to fork the history. `session release` on the old
+//! owner + `repl promote` on the successor are the one hand-off path,
+//! for failover and planned migration alike.
 //!
 //! ## Deadlines, cancellation, admission control
 //!

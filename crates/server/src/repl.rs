@@ -252,9 +252,8 @@ pub struct ReplicaStore {
 
 impl ReplicaStore {
     /// A replica store colocated with (but namespaced away from) the
-    /// live journal directory. `fsync` and compaction cadence follow
-    /// the live journals: a replica that is not durable is not a
-    /// replica.
+    /// live journal directory. `fsync` follows the live journals: a
+    /// replica that is not durable is not a replica.
     pub fn new(journal: &JournalConfig) -> ReplicaStore {
         let mut config = journal.clone();
         config.dir = journal.dir.join("replica");

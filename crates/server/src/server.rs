@@ -13,7 +13,7 @@
 //! Supervision: shell commands run through
 //! [`crate::session::Session::execute_command`], which contains panics
 //! (`catch_unwind` inside the shell lock), quarantines sessions after
-//! repeated faults, journals mutating commands when a journal
+//! repeated faults, journals mutating commands when a store
 //! directory is configured, and honors the configured
 //! [`crate::fault::FaultPlan`]. Protocol reads are bounded
 //! (`max_line_bytes` / `max_heredoc_bytes`), so a malicious client
@@ -27,7 +27,7 @@
 //! session state stays exactly as before the command.
 
 use crate::fault::FaultPlan;
-use crate::journal::{JournalConfig, JournalRecord};
+use crate::journal::JournalRecord;
 use crate::repl::ReplConfig;
 use crate::session::{ExecOutcome, RecoveryReport, SessionRegistry, StoreConfig};
 use crate::stats::{CommandClass, ServerStats};
@@ -75,25 +75,19 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Reject heredoc bodies larger than this many bytes.
     pub max_heredoc_bytes: usize,
-    /// Directory for per-session command journals (`None`: in-memory
-    /// sessions only, the pre-journal behavior).
-    pub journal_dir: Option<PathBuf>,
-    /// Directory for the persistent snapshot store (`workbenchd
-    /// --store DIR`). Implies journaling under the same directory when
-    /// `journal_dir` is unset: sessions snapshot in the background
-    /// every `snapshot_every` journaled commands (plus on eviction and
-    /// graceful shutdown) and recovery reopens them warm — snapshot
-    /// load plus replay of the journal suffix past the watermark.
+    /// Directory of the durable session store (`workbenchd --store
+    /// DIR`; `None`: in-memory sessions only). Every session journals
+    /// its mutating commands there (fsynced before the ack) and
+    /// snapshots in the background every `snapshot_every` journaled
+    /// commands (plus on eviction and graceful shutdown); recovery
+    /// reopens sessions warm — snapshot load plus replay of the
+    /// journal suffix past the watermark.
     pub store_dir: Option<PathBuf>,
     /// Background-snapshot cadence in journaled commands (0: snapshot
     /// only on eviction and shutdown). Only meaningful with a store.
     pub snapshot_every: u64,
-    /// Replay journals found in `journal_dir` on startup.
+    /// Rebuild the sessions found in `store_dir` on startup.
     pub recover: bool,
-    /// fsync each journal record before acknowledging the command.
-    pub journal_fsync: bool,
-    /// Rewrite a session's journal after this many appends.
-    pub journal_compact_every: u64,
     /// Deterministic fault injection (default: inject nothing).
     pub faults: FaultPlan,
     /// Default wall-clock deadline applied to every shell command
@@ -109,8 +103,8 @@ pub struct ServerConfig {
     /// Fleet replication membership (`workbenchd --repl-peers` /
     /// `--repl-self`): stream every journaled commit to each session's
     /// rendezvous successor and accept standby journals from peers.
-    /// Requires `journal_dir` (or `store_dir`) — `serve` refuses the
-    /// combination otherwise.
+    /// Requires `store_dir` — `serve` refuses the combination
+    /// otherwise.
     pub repl: Option<ReplConfig>,
 }
 
@@ -125,12 +119,9 @@ impl Default for ServerConfig {
             quarantine_after: 3,
             max_line_bytes: 64 * 1024,
             max_heredoc_bytes: 4 * 1024 * 1024,
-            journal_dir: None,
             store_dir: None,
             snapshot_every: 64,
             recover: false,
-            journal_fsync: true,
-            journal_compact_every: 256,
             faults: FaultPlan::none(),
             default_deadline: None,
             max_pending: 64,
@@ -228,32 +219,17 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let killed = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::new());
     let mut registry = SessionRegistry::new(config.max_sessions, config.session_idle_timeout);
-    // A store implies journaling (snapshots cover a journal
-    // watermark); without an explicit journal dir both live together.
-    let journal_dir = config
-        .journal_dir
-        .clone()
-        .or_else(|| config.store_dir.clone());
-    if let Some(dir) = &journal_dir {
-        registry = registry.with_journal(JournalConfig {
-            dir: dir.clone(),
-            fsync: config.journal_fsync,
-            compact_every: config.journal_compact_every,
-        });
-    }
     if let Some(dir) = &config.store_dir {
         registry = registry.with_store(StoreConfig {
-            dir: dir.clone(),
-            fsync: config.journal_fsync,
             snapshot_every: config.snapshot_every,
+            ..StoreConfig::new(dir)
         });
     }
     if let Some(repl) = &config.repl {
-        if journal_dir.is_none() {
+        if config.store_dir.is_none() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "replication requires a journal (or store) directory: \
-                 replicas are journals",
+                "replication requires a store directory: replicas are journals",
             ));
         }
         if repl.self_index >= repl.peers.len() {
@@ -680,7 +656,7 @@ fn dispatch(
         }
         ["session", "attach", id] => match registry.get(id) {
             Some(session) => {
-                // Under journaling the reply carries the session's
+                // With a store the reply carries the session's
                 // sequence watermark, so a router (or reconnecting
                 // client) resynchronizes its `@N` stamps exactly.
                 let body = if registry.journaling() {
@@ -730,7 +706,7 @@ fn dispatch(
             let body = rows
                 .iter()
                 .map(|(id, commands, idle, quarantined)| {
-                    // Under journaling each row carries the session's
+                    // With a store each row carries the session's
                     // sequence watermark: a restarted router rebuilds
                     // placement (and its `@N` stamps) from this list.
                     let seq = if registry.journaling() {
@@ -760,9 +736,9 @@ fn dispatch(
             None => (true, "none".to_owned(), Action::Continue),
         },
         // Fleet migration, releasing side: persist the session's final
-        // snapshot and drop it from the live map *keeping* its on-disk
-        // state, so a successor backend can `session recover` it from
-        // the shared store directory.
+        // snapshot, drop it from the live map *keeping* its on-disk
+        // state, and drain its replication stream, so the successor
+        // can `repl promote` it from its replica.
         ["session", "release", id] => {
             if attached.as_ref().is_some_and(|s| s.id() == *id) {
                 *attached = None;
@@ -776,21 +752,10 @@ fn dispatch(
                 Err(e) => (false, e, Action::Continue),
             }
         }
-        // Fleet migration, receiving side: rebuild one session from
-        // the shared store (verified snapshot + journal-suffix replay;
-        // incomplete or corrupt history is refused, never guessed).
-        ["session", "recover", id] => match registry.recover_one(id, stats) {
-            Ok(session) => (
-                true,
-                format!("session {id} recovered seq={}", session.seq()),
-                Action::Continue,
-            ),
-            Err(e) => (false, e, Action::Continue),
-        },
         ["session", ..] => (
             false,
             "usage: session new [id] | attach <id> | detach | close [id] | list | current \
-             | release <id> | recover <id>"
+             | release <id>"
                 .to_owned(),
             Action::Continue,
         ),
@@ -845,7 +810,7 @@ fn dispatch(
                 Action::Continue,
             ),
         },
-        // Fleet failover, no shared disk: rebuild <session> from the
+        // Fleet failover and migration: rebuild <session> from the
         // best local evidence (own journal/snapshot or the standby
         // replica), refusing with STALE-REPLICA when that evidence is
         // provably behind the router's last acked seq.
@@ -1121,20 +1086,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_sequences_release_and_recover_a_session() {
+    fn dispatch_sequences_release_and_promote_a_session() {
         let dir = std::env::temp_dir().join(format!(
             "iwb-dispatch-fleet-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = SessionRegistry::new(8, Duration::from_secs(60))
-            .with_journal(JournalConfig::new(&dir))
-            .with_store(crate::session::StoreConfig {
-                dir: dir.clone(),
-                fsync: false,
-                snapshot_every: 1,
-            });
+        let registry = SessionRegistry::new(8, Duration::from_secs(60)).with_store(StoreConfig {
+            dir: dir.clone(),
+            fsync: false,
+            snapshot_every: 1,
+        });
         let ctx = Ctx::with_registry(registry, FaultPlan::none());
         let mut attached = None;
 
@@ -1157,22 +1120,22 @@ mod tests {
         assert!(!ok);
         assert!(body.contains("bad sequence prefix"), "{body}");
 
-        // Attach replies carry the watermark under journaling.
+        // Attach replies carry the watermark under a store.
         let mut other = None;
         let (ok, body, _) = ctx.dispatch("session attach m", None, &mut other);
         assert!(ok);
         assert!(body.ends_with("seq=1"), "{body}");
 
-        // Release drops it live-but-persisted; recover brings it back.
+        // Release drops it live-but-persisted; promote brings it back.
         let (ok, body, _) = ctx.dispatch("session release m", None, &mut attached);
         assert!(ok, "{body}");
         assert!(body.contains("released seq=1"), "{body}");
         assert!(attached.is_none(), "release must detach");
         assert_eq!(ctx.registry.len(), 0);
-        let (ok, body, _) = ctx.dispatch("session recover m", None, &mut attached);
+        let (ok, body, _) = ctx.dispatch("repl promote m 1", None, &mut attached);
         assert!(ok, "{body}");
-        assert!(body.contains("recovered seq=1"), "{body}");
-        let (ok, body, _) = ctx.dispatch("session recover ghost", None, &mut attached);
+        assert_eq!(body, "session m promoted seq=1");
+        let (ok, body, _) = ctx.dispatch("repl promote ghost 0", None, &mut attached);
         assert!(!ok);
         assert!(body.contains("no persisted state"), "{body}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1198,10 +1161,11 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = JournalConfig::new(&dir);
-        journal.fsync = false;
         let registry = SessionRegistry::new(8, Duration::from_secs(60))
-            .with_journal(journal)
+            .with_store(StoreConfig {
+                fsync: false,
+                ..StoreConfig::new(&dir)
+            })
             .with_repl(crate::repl::ReplConfig {
                 // Unreachable peers: this test exercises only the sink
                 // and promotion paths; shipping fails silently.
@@ -1276,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_refuses_replication_without_a_journal_dir() {
+    fn serve_refuses_replication_without_a_store_dir() {
         match serve(ServerConfig {
             repl: Some(crate::repl::ReplConfig {
                 peers: vec!["127.0.0.1:1".into()],
@@ -1284,7 +1248,7 @@ mod tests {
             }),
             ..ServerConfig::default()
         }) {
-            Ok(_) => panic!("replication without a journal dir must be refused"),
+            Ok(_) => panic!("replication without a store dir must be refused"),
             Err(err) => assert_eq!(err.kind(), io::ErrorKind::InvalidInput),
         }
     }

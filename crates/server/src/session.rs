@@ -29,11 +29,13 @@
 //! writes no partial result and is never journaled, so the session
 //! stays attachable with exactly its pre-command state.
 //!
-//! With journaling enabled (see [`crate::journal`]) each successful
-//! mutating command is appended to the session's journal before the
-//! response is sent; [`SessionRegistry::recover`] replays journals on
-//! startup so a restarted daemon reattaches clients to their
-//! pre-crash sessions.
+//! Sessions are either in-memory or durable. A registry built
+//! [`SessionRegistry::with_store`] makes every session durable: each
+//! successful mutating command is appended to the session's journal
+//! (see [`crate::journal`]) before the response is sent, snapshots
+//! land in the same directory, and [`SessionRegistry::recover`]
+//! replays both on startup so a restarted daemon reattaches clients
+//! to their pre-crash sessions.
 
 use crate::fault::{FaultPlan, EXEC_ERROR, EXEC_HANG, EXEC_PANIC, EXEC_SLOW, SHARD_STALL};
 use crate::journal::{Journal, JournalConfig, JournalRecord, LoadedJournal};
@@ -86,13 +88,14 @@ pub enum ExecOutcome {
     Quarantined,
 }
 
-/// Configuration of the on-disk snapshot store (`workbenchd --store`).
+/// Configuration of the durable session store (`workbenchd --store`):
+/// one directory holding each session's journal and snapshot.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding `<session>.snap` snapshot files (usually the
-    /// journal directory, so one `--store DIR` names both).
+    /// Directory holding `<session>.journal` and `<session>.snap`.
     pub dir: PathBuf,
-    /// fsync snapshot files before renaming them into place.
+    /// fsync journal records and snapshot files before acknowledging
+    /// or renaming them into place (tests may turn it off for speed).
     pub fsync: bool,
     /// Schedule a background snapshot every N journaled commands
     /// (0: snapshot only on eviction and graceful shutdown).
@@ -106,6 +109,15 @@ impl StoreConfig {
             dir: dir.into(),
             fsync: true,
             snapshot_every: 64,
+        }
+    }
+
+    /// The journal configuration the store implies: same directory,
+    /// same fsync policy.
+    fn journal(&self) -> JournalConfig {
+        JournalConfig {
+            dir: self.dir.clone(),
+            fsync: self.fsync,
         }
     }
 }
@@ -413,11 +425,11 @@ impl Session {
         }
     }
 
-    /// Append a committed mutating command to the journal (no-op when
-    /// journaling is off). Journal I/O failures degrade to a counter:
+    /// Append a committed mutating command to the journal (no-op for
+    /// in-memory sessions). Journal I/O failures degrade to a counter:
     /// the command already mutated in-memory state, so the response
-    /// stays `ok` and durability weakens rather than the session lying
-    /// about a command it did apply.
+    /// stays `ok` and the journal heals the file on the next append
+    /// rather than the session lying about a command it did apply.
     fn journal_commit(
         &self,
         command: &str,
@@ -469,9 +481,7 @@ impl Session {
     /// Capture a consistent snapshot image: shell state and journal
     /// history under both locks (shell first, then journal — the same
     /// order the execute path uses, so no lock-order inversion). `None`
-    /// when the session has no journal: the embedded command prefix is
-    /// the snapshot's authoritative recovery input, so a snapshot
-    /// without one would be unrecoverable decoration.
+    /// once a concurrent close has discarded the journal.
     fn capture_snapshot(&self) -> Option<SessionSnapshot> {
         let mut shell = recover(self.shell.lock());
         let (watermark, commands) = {
@@ -673,7 +683,6 @@ pub struct SessionRegistry {
     max_sessions: usize,
     idle_timeout: Duration,
     counter: AtomicU64,
-    journal: Option<JournalConfig>,
     store: Option<StoreConfig>,
     store_worker: Option<Arc<BackgroundWorker>>,
     store_stats: Arc<StoreStats>,
@@ -692,7 +701,6 @@ impl SessionRegistry {
             max_sessions: max_sessions.max(1),
             idle_timeout,
             counter: AtomicU64::new(0),
-            journal: None,
             store: None,
             store_worker: None,
             store_stats: Arc::new(StoreStats::default()),
@@ -701,16 +709,10 @@ impl SessionRegistry {
         }
     }
 
-    /// Enable per-session command journaling under `config.dir`.
-    pub fn with_journal(mut self, config: JournalConfig) -> Self {
-        self.journal = Some(config);
-        self
-    }
-
-    /// Enable the persistent snapshot store: sessions snapshot on
-    /// cadence (background), on eviction, and on graceful shutdown,
-    /// and [`SessionRegistry::recover`] reopens them warm. Requires
-    /// journaling — snapshots cover a journal watermark.
+    /// Make every session durable under `config.dir`: each journals
+    /// its mutating commands there and snapshots on cadence
+    /// (background), on eviction, and on graceful shutdown, and
+    /// [`SessionRegistry::recover`] reopens them warm.
     pub fn with_store(mut self, config: StoreConfig) -> Self {
         self.store_worker = Some(Arc::new(BackgroundWorker::new("iwb-snapshot")));
         self.store = Some(config);
@@ -720,21 +722,25 @@ impl SessionRegistry {
     /// Enable streamed journal replication: every journaled commit is
     /// shipped to the session's rendezvous successor, and this backend
     /// accepts standby journals from peers that rank it next (see
-    /// [`crate::repl`]). Requires journaling — replicas *are* journals
-    /// (callers without a journal config get a registry with
-    /// replication silently off; [`crate::serve`] rejects that
-    /// combination up front).
+    /// [`crate::repl`]). Requires a store — replicas *are* journals
+    /// (callers without one get a registry with replication silently
+    /// off; [`crate::serve`] rejects that combination up front).
     pub fn with_repl(mut self, config: ReplConfig) -> Self {
-        if let Some(journal) = &self.journal {
-            self.replicas = Some(Arc::new(ReplicaStore::new(journal)));
+        if let Some(store) = &self.store {
+            self.replicas = Some(Arc::new(ReplicaStore::new(&store.journal())));
             self.replicator = Some(Arc::new(Replicator::new(config)));
         }
         self
     }
 
-    /// Whether journaling is enabled.
+    /// Whether sessions are durable (journaled under a store).
     pub fn journaling(&self) -> bool {
-        self.journal.is_some()
+        self.store.is_some()
+    }
+
+    /// The journal configuration, when sessions are durable.
+    fn journal_config(&self) -> Option<JournalConfig> {
+        self.store.as_ref().map(StoreConfig::journal)
     }
 
     /// Whether fleet replication is enabled.
@@ -814,8 +820,8 @@ impl SessionRegistry {
     /// owner — refusing with `STALE-REPLICA` when that evidence is
     /// provably behind `min_seq`, the last seq the router saw
     /// acknowledged to a client. This is the fleet's no-shared-disk
-    /// failover path; like [`SessionRegistry::recover_one`] it is
-    /// idempotent for a session that is already live (and current).
+    /// failover and migration path; it is idempotent for a session
+    /// that is already live (and current).
     pub fn promote(&self, id: &str, min_seq: u64, stats: &ServerStats) -> Result<u64, String> {
         if !valid_id(id) {
             return Err(format!("invalid session id {id:?}"));
@@ -827,8 +833,8 @@ impl SessionRegistry {
             }
             return Err(stale_replica(id, seq, min_seq));
         }
-        let Some(config) = self.journal.clone() else {
-            return Err("journaling disabled: nothing to promote from".into());
+        let Some(config) = self.journal_config() else {
+            return Err("no store: nothing to promote from".into());
         };
         let mut report = RecoveryReport::default();
         // Local evidence: this backend may have owned the session
@@ -908,14 +914,10 @@ impl SessionRegistry {
         }
         self.drain_snapshots();
         let sessions: Vec<Arc<Session>> = recover(self.sessions.lock()).values().cloned().collect();
-        let mut flushed = 0;
         for session in &sessions {
-            if session.store.is_some() {
-                session.flush_snapshot(&FaultPlan::none());
-                flushed += 1;
-            }
+            session.flush_snapshot(&FaultPlan::none());
         }
-        flushed
+        sessions.len()
     }
 
     /// Build the per-session store handle, when a store is configured.
@@ -955,9 +957,9 @@ impl SessionRegistry {
         if map.len() >= self.max_sessions {
             return Err(RegistryError::AtCapacity(self.max_sessions));
         }
-        let journal = match &self.journal {
+        let journal = match self.journal_config() {
             Some(config) => Some(
-                Journal::create(config, &id).map_err(|e| RegistryError::Journal(e.to_string()))?,
+                Journal::create(&config, &id).map_err(|e| RegistryError::Journal(e.to_string()))?,
             ),
             None => None,
         };
@@ -971,20 +973,20 @@ impl SessionRegistry {
         Ok(session)
     }
 
-    /// Rebuild sessions from the journal (and snapshot) directory.
+    /// Rebuild sessions from the store directory.
     ///
-    /// For each readable journal: pair it with its snapshot if a store
-    /// is configured. A verified snapshot contributes its embedded
-    /// command prefix (so a truncated journal still replays a full
-    /// history) and primes the engine — match results and the blocking
-    /// index *before* replay, text features *after* — so the replayed
-    /// commands reopen warm instead of recomputing. A snapshot that
+    /// For each readable journal: pair it with its snapshot. A
+    /// verified snapshot contributes its embedded command prefix (so a
+    /// truncated journal still replays a full history) and primes the
+    /// engine — match results and the blocking index *before* replay,
+    /// text features *after* — so the replayed commands reopen warm
+    /// instead of recomputing. A snapshot that
     /// fails verification (torn, bit-flipped, stale version) is
     /// bypassed: if the journal is self-sufficient (base 0) the
     /// session rebuilds from replay alone; if not, the session is
     /// refused — never silently wrong. Call before serving traffic.
     pub fn recover(&self, stats: &ServerStats) -> io::Result<RecoveryReport> {
-        let Some(config) = self.journal.clone() else {
+        let Some(config) = self.journal_config() else {
             return Ok(RecoveryReport::default());
         };
         let mut report = RecoveryReport::default();
@@ -1024,86 +1026,39 @@ impl SessionRegistry {
         // Snapshots without a journal file (a crash between the two
         // deletes of a close, or a pruned directory): a verified
         // snapshot alone still carries the full command history.
-        if let Some(store_config) = self.store.clone() {
-            for id in SessionStore::scan_dir(&store_config.dir) {
-                if seen.iter().any(|s| s == &id) || !valid_id(&id) {
-                    continue;
-                }
-                let Some(snap) = self.load_snapshot_for(&id, &mut report) else {
-                    report.skipped += 1;
-                    continue;
-                };
-                let (records, base, warm) = Self::snapshot_history(snap);
-                self.rebuild_session(&config, &id, records, base, warm, &mut report, stats);
+        for id in SessionStore::scan_dir(&config.dir) {
+            if seen.iter().any(|s| s == &id) || !valid_id(&id) {
+                continue;
             }
+            let Some(snap) = self.load_snapshot_for(&id, &mut report) else {
+                report.skipped += 1;
+                continue;
+            };
+            let (records, base, warm) = Self::snapshot_history(snap);
+            self.rebuild_session(&config, &id, records, base, warm, &mut report, stats);
         }
         stats.recovery(&report);
         Ok(report)
     }
 
-    /// Recover a single session by id — the fleet migration path. A
-    /// router, after releasing the session on its old backend, asks the
-    /// successor to rebuild it from the shared store directory. Applies
-    /// exactly the same verification as [`SessionRegistry::recover`]:
-    /// snapshot-or-refuse pairing, torn-tail trimming, header/id
-    /// agreement — never a silently-wrong state. Idempotent: a session
-    /// that is already live is returned as-is.
-    pub fn recover_one(&self, id: &str, stats: &ServerStats) -> Result<Arc<Session>, String> {
-        if let Some(session) = self.get(id) {
-            return Ok(session);
-        }
-        if !valid_id(id) {
-            return Err(format!("invalid session id {id:?}"));
-        }
-        let Some(config) = self.journal.clone() else {
-            return Err("journaling disabled: nothing to recover from".into());
-        };
-        let mut report = RecoveryReport::default();
-        let path = Journal::path_for(&config.dir, id);
-        if path.exists() {
-            let loaded = Journal::load(&path).map_err(|e| format!("journal unreadable: {e}"))?;
-            if loaded.session_id != id {
-                return Err(format!(
-                    "journal header names {:?}, not {id:?}",
-                    loaded.session_id
-                ));
-            }
-            if loaded.torn_tail {
-                report.torn_tails += 1;
-            }
-            let (records, base, warm) = self.paired_history(loaded, &mut report)?;
-            self.rebuild_session(&config, id, records, base, warm, &mut report, stats);
-        } else {
-            let snap = self
-                .load_snapshot_for(id, &mut report)
-                .ok_or_else(|| format!("no persisted state for session {id:?}"))?;
-            let (records, base, warm) = Self::snapshot_history(snap);
-            self.rebuild_session(&config, id, records, base, warm, &mut report, stats);
-        }
-        stats.recovery(&report);
-        self.get(id)
-            .ok_or_else(|| format!("recovery of session {id:?} was refused"))
-    }
-
     /// Release a live session for migration: persist its final
     /// snapshot, then drop it from the live map *keeping* its on-disk
-    /// state (unlike [`SessionRegistry::close`], which deletes it) so a
-    /// successor backend can [`SessionRegistry::recover_one`] it from
-    /// the shared store. Returns the session's sequence watermark —
-    /// the router uses it to verify nothing was lost in flight. Waits
-    /// for any in-flight command: the snapshot flush takes the shell
-    /// lock, so the command completes (and journals) first.
+    /// state (unlike [`SessionRegistry::close`], which deletes it) and
+    /// drain its replication stream, so the successor can
+    /// [`SessionRegistry::promote`] it from its replica (and this
+    /// backend can take it back the same way). Returns the session's
+    /// sequence watermark — the router uses it as the promotion floor.
+    /// Waits for any in-flight command: the snapshot flush takes the
+    /// shell lock, so the command completes (and journals) first.
     pub fn release(&self, id: &str) -> Result<u64, String> {
-        if self.journal.is_none() {
-            return Err("journaling disabled: nothing to release".into());
+        if self.store.is_none() {
+            return Err("no store: nothing to release".into());
         }
         let session = recover(self.sessions.lock())
             .remove(id)
             .ok_or_else(|| format!("no session {id:?}"))?;
-        if session.store.is_some() {
-            self.drain_snapshots();
-            session.flush_snapshot(&FaultPlan::none());
-        }
+        self.drain_snapshots();
+        session.flush_snapshot(&FaultPlan::none());
         // Drain the replication stream at the released watermark so a
         // planned migration's successor can promote from its replica
         // with zero lag — no shared disk required.
@@ -1111,8 +1066,8 @@ impl SessionRegistry {
         Ok(session.seq())
     }
 
-    /// Pair a loaded journal with its snapshot (when a store is
-    /// configured) into the full replayable history. `Err` means the
+    /// Pair a loaded journal with its snapshot into the full
+    /// replayable history. `Err` means the
     /// combination cannot prove a complete history — a truncated
     /// journal whose covering snapshot is missing, stale, or behind
     /// the journal's base — and the session must be refused.
@@ -1239,10 +1194,16 @@ impl SessionRegistry {
             report.warm += 1;
         }
         // Re-arm journaling on a healed file so post-recovery commands
-        // keep appending to the same history.
+        // keep appending to the same history. A session that cannot
+        // journal is not durable, so it is refused rather than served.
         match Journal::adopt(config, id, records, base) {
             Ok(journal) => *recover(session.journal.lock()) = Some(journal),
-            Err(_) => stats.journal_error(),
+            Err(_) => {
+                stats.journal_error();
+                recover(self.sessions.lock()).remove(id);
+                report.skipped += 1;
+                return;
+            }
         }
         report.sessions += 1;
     }
@@ -1289,14 +1250,10 @@ impl SessionRegistry {
             .collect();
         for id in &victims {
             if let Some(session) = map.remove(id) {
-                if session.store.is_some() {
-                    // Under a store, eviction persists instead of
-                    // forgetting: the snapshot and journal stay on
-                    // disk so recovery reopens the session warm.
-                    session.flush_snapshot(&FaultPlan::none());
-                } else {
-                    session.discard_journal();
-                }
+                // Eviction persists instead of forgetting: the snapshot
+                // and journal stay on disk so recovery reopens the
+                // session warm (a no-op for in-memory sessions).
+                session.flush_snapshot(&FaultPlan::none());
             }
         }
         victims
@@ -1521,9 +1478,9 @@ mod tests {
     fn a_hung_command_is_reaped_by_the_deadline_and_not_journaled() {
         let dir = std::env::temp_dir().join(format!("iwb-reg-hang-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = JournalConfig::new(&dir);
+        let config = StoreConfig::new(&dir);
         let stats = ServerStats::new();
-        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config.clone());
+        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config.clone());
         let s = reg.create(Some("hang")).unwrap();
         // The command would hang for 60 s; a 50 ms deadline must reap
         // it within 2x the deadline, before it executes or journals.
@@ -1561,7 +1518,7 @@ mod tests {
         };
         assert!(!export.contains("po"), "aborted load leaked: {export}");
         drop(reg);
-        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config);
+        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config);
         let report = fresh.recover(&stats).unwrap();
         assert_eq!((report.sessions, report.replayed), (1, 0), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1608,11 +1565,11 @@ mod tests {
     fn journaled_sessions_recover_after_restart() {
         let dir = std::env::temp_dir().join(format!("iwb-reg-recover-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = JournalConfig::new(&dir);
+        let config = StoreConfig::new(&dir);
         let none = FaultPlan::none();
         let stats = ServerStats::new();
 
-        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config.clone());
+        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config.clone());
         let s = reg.create(Some("alpha")).unwrap();
         let load = exec(
             &s,
@@ -1628,7 +1585,7 @@ mod tests {
         };
         drop(reg); // simulated crash: journal file survives
 
-        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config);
+        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config);
         let report = fresh.recover(&stats).unwrap();
         assert_eq!(
             (report.sessions, report.replayed, report.replay_errors),
@@ -1650,11 +1607,11 @@ mod tests {
     fn recovery_replays_index_registry_and_serves_candidates() {
         let dir = std::env::temp_dir().join(format!("iwb-reg-blocking-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = JournalConfig::new(&dir);
+        let config = StoreConfig::new(&dir);
         let none = FaultPlan::none();
         let stats = ServerStats::new();
 
-        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config.clone());
+        let reg = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config.clone());
         let s = reg.create(Some("blocker")).unwrap();
         let load = exec(
             &s,
@@ -1672,7 +1629,7 @@ mod tests {
         };
         drop(reg); // simulated crash
 
-        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_journal(config);
+        let fresh = SessionRegistry::new(4, Duration::from_secs(60)).with_store(config);
         let report = fresh.recover(&stats).unwrap();
         // Both the load and the index build replay; the read-only
         // `find-candidates` was never journaled.
@@ -1698,7 +1655,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("iwb-reg-close-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let reg =
-            SessionRegistry::new(4, Duration::from_secs(60)).with_journal(JournalConfig::new(&dir));
+            SessionRegistry::new(4, Duration::from_secs(60)).with_store(StoreConfig::new(&dir));
         reg.create(Some("gone")).unwrap();
         assert!(Journal::path_for(&dir, "gone").exists());
         assert!(reg.close("gone"));
@@ -1718,14 +1675,12 @@ mod tests {
         dir
     }
 
-    fn store_registry(dir: &PathBuf, snapshot_every: u64) -> SessionRegistry {
-        SessionRegistry::new(4, Duration::from_secs(60))
-            .with_journal(JournalConfig::new(dir))
-            .with_store(StoreConfig {
-                dir: dir.clone(),
-                fsync: false,
-                snapshot_every,
-            })
+    fn store_registry(dir: &std::path::Path, snapshot_every: u64) -> SessionRegistry {
+        SessionRegistry::new(4, Duration::from_secs(60)).with_store(StoreConfig {
+            dir: dir.to_path_buf(),
+            fsync: false,
+            snapshot_every,
+        })
     }
 
     /// The mutating command sequence the warm-reopen tests replay:
@@ -1816,13 +1771,11 @@ mod tests {
     fn evicted_store_sessions_are_persisted_not_forgotten() {
         let dir = store_dir("evict");
         let stats = ServerStats::new();
-        let reg = SessionRegistry::new(4, Duration::from_millis(0))
-            .with_journal(JournalConfig::new(&dir))
-            .with_store(StoreConfig {
-                dir: dir.clone(),
-                fsync: false,
-                snapshot_every: 0, // only eviction/shutdown snapshots
-            });
+        let reg = SessionRegistry::new(4, Duration::from_millis(0)).with_store(StoreConfig {
+            dir: dir.clone(),
+            fsync: false,
+            snapshot_every: 0, // only eviction/shutdown snapshots
+        });
         let s = reg.create(Some("idle")).unwrap();
         let out = exec(
             &s,
@@ -2013,7 +1966,7 @@ mod tests {
         let stats = ServerStats::new();
         let none = FaultPlan::none();
         let reg =
-            SessionRegistry::new(4, Duration::from_secs(60)).with_journal(JournalConfig::new(&dir));
+            SessionRegistry::new(4, Duration::from_secs(60)).with_store(StoreConfig::new(&dir));
         let s = reg.create(Some("g")).unwrap();
 
         let sexec = |cmd: &str, heredoc: Option<&str>, seq: Option<u64>| {
@@ -2053,7 +2006,7 @@ mod tests {
     }
 
     #[test]
-    fn release_then_recover_one_migrates_a_session() {
+    fn release_then_promote_migrates_a_session() {
         let dir = store_dir("migrate");
         let stats = ServerStats::new();
         let old = store_registry(&dir, 1);
@@ -2066,26 +2019,28 @@ mod tests {
         let seq = old.release("mig").expect("release persists and detaches");
         assert_eq!(seq as usize, WARM_SCRIPT.len());
         assert!(old.get("mig").is_none(), "released session leaves the map");
-        // Unlike close(), the on-disk state survives for the successor.
+        // Unlike close(), the on-disk state survives release.
         assert!(Journal::path_for(&dir, "mig").exists());
 
-        // The successor backend shares the store directory and pulls
-        // just this session — no full-directory recover() sweep.
+        // A backend holding the released files (here: a restart on the
+        // same directory) promotes just this session from local
+        // evidence — no full-directory recover() sweep.
         let successor = store_registry(&dir, 1);
-        let migrated = successor
-            .recover_one("mig", &stats)
-            .expect("successor recovers the released session");
-        assert_eq!(migrated.seq(), seq, "watermark survives the hop");
+        let promoted = successor
+            .promote("mig", seq, &stats)
+            .expect("successor promotes the released session");
+        assert_eq!(promoted, seq, "watermark survives the hop");
+        let migrated = successor.get("mig").expect("promoted session is live");
         assert_eq!(
             before,
             export_of(&migrated, &stats),
             "migrated state must be byte-identical"
         );
-        // Idempotent: a second recover_one returns the live session.
-        let again = successor.recover_one("mig", &stats).unwrap();
-        assert!(Arc::ptr_eq(&migrated, &again));
+        // Idempotent: a second promote leaves the live session alone.
+        assert_eq!(successor.promote("mig", seq, &stats), Ok(seq));
+        assert!(Arc::ptr_eq(&migrated, &successor.get("mig").unwrap()));
         assert!(
-            successor.recover_one("ghost", &stats).is_err(),
+            successor.promote("ghost", 0, &stats).is_err(),
             "no persisted state must be refused"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -83,12 +83,14 @@ impl Histogram {
     }
 }
 
-/// The protocol command families tracked separately.
+/// The protocol command families tracked separately. Declaration
+/// order is render order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandClass {
-    /// `load` → schema-loader tool.
+    /// `load` → schema-loader tool; `index-registry` → blocking index
+    /// over a generated schema registry.
     Load,
-    /// `match` → harmony tool (automatic).
+    /// `match` / `match-config` → harmony tool (automatic).
     Match,
     /// `accept` / `reject` → harmony tool (manual).
     Decide,
@@ -96,22 +98,24 @@ pub enum CommandClass {
     Map,
     /// `generate` → xquery-codegen tool.
     Generate,
-    /// `show …` blackboard reads.
+    /// `show …`, `proposals`, `weights` blackboard and matcher reads.
     Show,
-    /// `query` ad hoc IB queries.
+    /// `query` ad hoc IB queries; `find-candidates` registry retrieval.
     Query,
     /// `export` Turtle dumps.
     Export,
-    /// `session …` registry operations.
+    /// `session …` registry operations; the router's `migrate`.
     Session,
-    /// `stats`, `ping`, `shutdown`, `quit`.
+    /// `repl …` backend-to-backend replication and promotion.
+    Repl,
+    /// `stats`, `ping`, `probe`, `cancel`, `shutdown`, `quit`.
     Admin,
     /// Anything else (always an error).
     Other,
 }
 
 /// All classes, in render order.
-const ALL_CLASSES: [CommandClass; 11] = [
+const ALL_CLASSES: [CommandClass; 12] = [
     CommandClass::Load,
     CommandClass::Match,
     CommandClass::Decide,
@@ -121,6 +125,7 @@ const ALL_CLASSES: [CommandClass; 11] = [
     CommandClass::Query,
     CommandClass::Export,
     CommandClass::Session,
+    CommandClass::Repl,
     CommandClass::Admin,
     CommandClass::Other,
 ];
@@ -136,16 +141,17 @@ impl CommandClass {
             w => w,
         };
         match first {
-            "load" => CommandClass::Load,
-            "match" => CommandClass::Match,
+            "load" | "index-registry" => CommandClass::Load,
+            "match" | "match-config" => CommandClass::Match,
             "accept" | "reject" => CommandClass::Decide,
             "bind" | "code" => CommandClass::Map,
             "generate" => CommandClass::Generate,
-            "show" => CommandClass::Show,
-            "query" => CommandClass::Query,
+            "show" | "proposals" | "weights" => CommandClass::Show,
+            "query" | "find-candidates" => CommandClass::Query,
             "export" => CommandClass::Export,
-            "session" => CommandClass::Session,
-            "stats" | "ping" | "probe" | "shutdown" | "quit" => CommandClass::Admin,
+            "session" | "migrate" => CommandClass::Session,
+            "repl" => CommandClass::Repl,
+            "stats" | "ping" | "probe" | "cancel" | "shutdown" | "quit" => CommandClass::Admin,
             _ => CommandClass::Other,
         }
     }
@@ -161,13 +167,14 @@ impl CommandClass {
             CommandClass::Query => "query",
             CommandClass::Export => "export",
             CommandClass::Session => "session",
+            CommandClass::Repl => "repl",
             CommandClass::Admin => "admin",
             CommandClass::Other => "other",
         }
     }
 
     fn index(self) -> usize {
-        ALL_CLASSES.iter().position(|&c| c == self).unwrap_or(10)
+        self as usize
     }
 }
 
@@ -202,7 +209,7 @@ pub struct ServerStats {
     journal_errors: AtomicU64,
     sessions_recovered: AtomicU64,
     commands_replayed: AtomicU64,
-    per_class: [ClassStats; 11],
+    per_class: [ClassStats; ALL_CLASSES.len()],
 }
 
 impl Default for ServerStats {
@@ -477,6 +484,74 @@ mod tests {
         assert_eq!(CommandClass::of("@7 match a b"), CommandClass::Match);
         assert_eq!(CommandClass::of("@0 load er po <<EOF"), CommandClass::Load);
         assert_eq!(CommandClass::of("@"), CommandClass::Other);
+    }
+
+    #[test]
+    fn render_order_is_declaration_order() {
+        for (i, class) in ALL_CLASSES.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
+    }
+
+    /// One sample line per command word the shell dispatches.
+    const SHELL_COMMANDS: [&str; 15] = [
+        "load er po",
+        "match po po",
+        "match-config threads 1",
+        "index-registry seed 7 scale 0.01",
+        "find-candidates po 3",
+        "accept po po r c",
+        "reject po po r c",
+        "bind po po r v",
+        "code po po c := x",
+        "generate po po",
+        "show coverage",
+        "proposals po po",
+        "weights",
+        "query ? ? ?",
+        "export",
+    ];
+
+    /// Command words only the daemon or the router dispatch (the
+    /// shell answers them `unknown command`).
+    const ADMIN_COMMANDS: [&str; 11] = [
+        "session new",
+        "repl append s 0 match a b",
+        "repl promote s 0",
+        "migrate s",
+        "cancel s",
+        "stats",
+        "ping",
+        "probe",
+        "shutdown",
+        "quit",
+        "@3 repl status",
+    ];
+
+    #[test]
+    fn every_dispatched_command_has_a_class() {
+        let mut shell = iwb_core::shell::Shell::new();
+        shell
+            .execute("load er po", Some("entity A { x : text }\n"))
+            .unwrap();
+        for line in SHELL_COMMANDS {
+            // The sample must name a command the shell dispatches
+            // (it may still fail on its arguments).
+            let unknown = shell
+                .execute(line, None)
+                .is_err_and(|e| e.to_string().contains("unknown command"));
+            assert!(!unknown, "{line:?} is not a shell command");
+            assert_ne!(CommandClass::of(line), CommandClass::Other, "{line:?}");
+        }
+        for line in ADMIN_COMMANDS {
+            let unknown = shell
+                .execute(line, None)
+                .is_err_and(|e| e.to_string().contains("unknown command"));
+            assert!(unknown, "{line:?} belongs in SHELL_COMMANDS");
+            assert_ne!(CommandClass::of(line), CommandClass::Other, "{line:?}");
+        }
+        assert_eq!(CommandClass::of("repl append s 0 x"), CommandClass::Repl);
+        assert_eq!(CommandClass::of("cancel s1"), CommandClass::Admin);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a panicking command answers a protocol error while the session
 //!   stays usable and *other* sessions are unaffected;
 //! * quarantine after repeated panics, then `session close`;
-//! * crash + `--recover` restart restores a journaled session
+//! * crash + `--store` restart restores a journaled session
 //!   byte-identically (stats-visible state and query results);
 //! * a torn final journal record recovers the un-torn prefix;
 //! * client reconnect (backoff + re-attach) across the restart;
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 const SCHEMA_A: &str = "entity Customer \"A customer.\" { name : text \"Full name.\" }";
 const SCHEMA_B: &str = "entity Client { client_name : text }";
 
-/// A scratch journal directory, cleaned on drop.
+/// A scratch store directory, cleaned on drop.
 struct TempDir(PathBuf);
 
 impl TempDir {
@@ -54,12 +54,12 @@ fn serve_config(config: ServerConfig) -> ServerHandle {
 /// Restart "the daemon" on the same address with recovery enabled.
 /// The old listener must be fully closed first, so this retries the
 /// bind briefly.
-fn restart_with_recovery(addr: &str, journal_dir: &Path) -> ServerHandle {
+fn restart_with_recovery(addr: &str, store_dir: &Path) -> ServerHandle {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         match serve(ServerConfig {
             addr: addr.to_owned(),
-            journal_dir: Some(journal_dir.to_path_buf()),
+            store_dir: Some(store_dir.to_path_buf()),
             recover: true,
             ..ServerConfig::default()
         }) {
@@ -109,7 +109,7 @@ fn stalled_match_is_reaped_by_the_deadline_and_the_session_survives() {
     // checks for 60 s — far past the 2 s default deadline. The
     // deadline must reap it within 2x the budget.
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         default_deadline: Some(DEADLINE),
         faults: FaultSpec::seeded(23)
             .at(SHARD_STALL, &[4])
@@ -161,10 +161,9 @@ fn stalled_match_is_reaped_by_the_deadline_and_the_session_survives() {
 
     // Crash + recover: the journal holds the two loads and the one
     // *successful* match (never the reaped one) and replays cleanly.
-    handle.shutdown();
     drop(c);
     drop(second);
-    handle.join();
+    handle.kill();
     let restarted = restart_with_recovery(&addr, &dir.0);
     let report = restarted.recovery().expect("recovery ran").clone();
     assert_eq!(report.sessions, 1, "{report:?}");
@@ -185,7 +184,7 @@ fn cancel_from_another_connection_interrupts_a_hung_command() {
     // `cancel` issued on a second connection must interrupt it, and the
     // cancelled command must never reach the journal.
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         faults: FaultSpec::seeded(31)
             .at(EXEC_HANG, &[2])
             .millis(EXEC_HANG, 60_000)
@@ -249,10 +248,9 @@ fn cancel_from_another_connection_interrupts_a_hung_command() {
 
     // ...and after a crash the journal replays the loads and the
     // successful rerun — never the cancelled attempt.
-    handle.shutdown();
     drop(c);
     drop(admin);
-    handle.join();
+    handle.kill();
     let restarted = restart_with_recovery(&addr, &dir.0);
     let report = restarted.recovery().expect("recovery ran").clone();
     assert_eq!(report.replayed, 3, "load, load, rerun match: {report:?}");
@@ -414,7 +412,7 @@ fn quarantine_after_repeated_panics_then_close() {
 fn recover_restores_a_journaled_session_byte_identically() {
     let dir = TempDir::new("recover");
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
@@ -437,11 +435,10 @@ fn recover_restores_a_journaled_session_byte_identically() {
         .expect_ok()
         .unwrap();
 
-    // "Crash": shut the daemon down without closing the session, so
-    // its journal file stays behind.
-    handle.shutdown();
+    // Crash: kill the daemon without closing the session (and without
+    // the graceful snapshot flush), so only its journal stays behind.
     drop(c);
-    handle.join();
+    handle.kill();
 
     let restarted = restart_with_recovery(&addr, &dir.0);
     let report = restarted.recovery().expect("recovery ran").clone();
@@ -480,7 +477,7 @@ fn torn_final_journal_record_recovers_the_prefix() {
     // Tear exactly the third journal append (the `match`): the two
     // loads commit cleanly, the match's record is half-written.
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         faults: FaultSpec::seeded(11).at(JOURNAL_TORN, &[2]).build(),
         ..ServerConfig::default()
     });
@@ -499,9 +496,9 @@ fn torn_final_journal_record_recovers_the_prefix() {
     // The command itself succeeds — only its durability record tears.
     c.request("match src dst").unwrap().expect_ok().unwrap();
 
-    handle.shutdown();
+    // Crash before the next append (or a graceful snapshot) heals it.
     drop(c);
-    handle.join();
+    handle.kill();
 
     let restarted = restart_with_recovery(&addr, &dir.0);
     let report = restarted.recovery().expect("recovery ran").clone();
@@ -537,7 +534,7 @@ fn torn_final_journal_record_recovers_the_prefix() {
 fn client_reconnects_and_reattaches_across_a_restart() {
     let dir = TempDir::new("reconnect");
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();
@@ -575,7 +572,7 @@ fn client_reconnects_and_reattaches_across_a_restart() {
 fn dying_mid_heredoc_journals_nothing() {
     let dir = TempDir::new("midheredoc");
     let handle = serve_config(ServerConfig {
-        journal_dir: Some(dir.0.clone()),
+        store_dir: Some(dir.0.clone()),
         ..ServerConfig::default()
     });
     let addr = handle.addr().to_string();

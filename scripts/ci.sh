@@ -5,6 +5,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# run_named CARGO_ARGS... -- TEST_NAMES...: run exactly the named tests
+# (full paths, matched with --exact) and fail unless every one of them
+# ran — a bare filter that matches nothing still exits 0.
+run_named() {
+    local cargo_args=()
+    while [[ $1 != -- ]]; do
+        cargo_args+=("$1")
+        shift
+    done
+    shift
+    local want=$# out ran
+    out=$(cargo test -q --offline "${cargo_args[@]}" -- --exact "$@" 2>&1) || {
+        echo "$out"
+        return 1
+    }
+    echo "$out"
+    ran=$(sed -nE 's/^test result: ok\. ([0-9]+) passed.*/\1/p' <<<"$out" |
+        awk '{ n += $1 } END { print n + 0 }')
+    if [[ $ran -ne $want ]]; then
+        echo "ci: expected $want named test(s) to run, ran $ran" >&2
+        return 1
+    fi
+}
+
 echo "== cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
@@ -21,7 +45,7 @@ echo "== chaos smoke (fault-injection integration tests, fixed seeds)"
 cargo test -q --offline -p iwb-server --test chaos
 
 echo "== cancellation/deadline chaos (hung + stalled commands reaped, sessions survive)"
-cargo test -q --offline -p iwb-server --test chaos -- \
+run_named -p iwb-server --test chaos -- \
     stalled_match_is_reaped_by_the_deadline_and_the_session_survives \
     cancel_from_another_connection_interrupts_a_hung_command \
     connections_past_the_pending_bound_are_shed_with_retry_after
@@ -57,16 +81,16 @@ echo "== store snapshot format suite (torn/bitflip/stale detection, roundtrips)"
 cargo test -q --offline -p iwb-store
 
 echo "== store persistence suite (warm reopen, corrupt-snapshot fallback, compaction window)"
-cargo test -q --offline -p iwb-server --lib -- \
-    store_sessions_reopen_warm_after_restart \
-    evicted_store_sessions_are_persisted_not_forgotten \
-    closing_a_store_session_deletes_snapshot_and_journal \
-    corrupt_snapshots_fall_back_to_journal_replay \
-    a_corrupt_snapshot_after_truncation_rewidens_the_journal \
-    an_orphaned_snapshot_alone_recovers_the_session
+run_named -p iwb-server --lib -- \
+    session::tests::store_sessions_reopen_warm_after_restart \
+    session::tests::evicted_store_sessions_are_persisted_not_forgotten \
+    session::tests::closing_a_store_session_deletes_snapshot_and_journal \
+    session::tests::corrupt_snapshots_fall_back_to_journal_replay \
+    session::tests::a_corrupt_snapshot_after_truncation_rewidens_the_journal \
+    session::tests::an_orphaned_snapshot_alone_recovers_the_session
 
 echo "== incremental re-match determinism (byte-identical splice across threads/cache)"
-cargo test -q --offline -p iwb-harmony --test determinism -- \
+run_named -p iwb-harmony --test determinism -- \
     incremental_rematch_is_byte_identical_to_from_scratch \
     retracting_a_decision_incrementally_is_identical_too
 
@@ -78,15 +102,15 @@ grep -q '"incremental_identical": true' target/BENCH_store_quick.json
 echo "== router unit suite (rendezvous hashing, membership stability)"
 cargo test -q --offline -p iwb-router --lib
 
-echo "== fleet chaos suite (kill mid-command, split routing, probe quarantine, migration)"
+echo "== fleet chaos suite (per-backend stores + replication: kill mid-command, split routing, probe quarantine, migration)"
 cargo test -q --offline -p iwb-router --test fleet_chaos
 
-echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/recover)"
-cargo test -q --offline -p iwb-server --lib -- \
-    sequence_guard_acks_duplicates_and_rejects_gaps \
-    release_then_recover_one_migrates_a_session \
-    dispatch_sequences_release_and_recover_a_session \
-    dispatch_answers_probes_without_a_session
+echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/promote)"
+run_named -p iwb-server --lib -- \
+    session::tests::sequence_guard_acks_duplicates_and_rejects_gaps \
+    session::tests::release_then_promote_migrates_a_session \
+    server::tests::dispatch_sequences_release_and_promote_a_session \
+    server::tests::dispatch_answers_probes_without_a_session
 
 echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains)"
 cargo test -q --offline -p iwb-server --test repl_stream
@@ -107,11 +131,11 @@ echo "== curation-replay determinism (bit-identical P/R/F1 across threads/cache)
 cargo test -q --offline -p iwb-eval --test replay_determinism
 
 echo "== noisy-oracle replay (p in {0, 0.1}: bit-identical runs, plateau detector honest)"
-cargo test -q --offline -p iwb-eval --test replay_determinism -- \
+run_named -p iwb-eval --test replay_determinism -- \
     noise_zero_is_bit_identical_to_the_default_oracle \
     noisy_replay_is_deterministic_and_plateau_stays_honest
 
-echo "== server-side replay (journaled curation session, crash + --recover, byte-identical)"
+echo "== server-side replay (journaled curation session, crash + --store restart, byte-identical)"
 cargo test -q --offline -p iwb-eval --test server_replay
 
 echo "== bench_eval smoke (domain sweep floors + replay curve gates, quick axes)"
@@ -119,5 +143,8 @@ cargo run -q --release --offline -p iwb-bench --bin bench_eval -- \
     --quick --out target/BENCH_eval_quick.json
 grep -q '"floors_met": true' target/BENCH_eval_quick.json
 grep -q '"replay_monotone": true' target/BENCH_eval_quick.json
+
+echo "== wbbench self-tests (the benchmark still builds against crates/*)"
+cargo test -q --offline --manifest-path wbbench/Cargo.toml
 
 echo "ci: ok"
